@@ -476,6 +476,7 @@ class OrleansTxnSystem:
             group_commit=self.config.group_commit,
             enabled=self.config.logging_enabled,
             cpu=self.runtime.cpu,
+            io_factory=self.backend.io_device,
         )
         self.runtime.services["orleans_config"] = self.config
         self.runtime.services["orleans_loggers"] = self.loggers

@@ -3,7 +3,7 @@
 Given the WAL left behind by a faulted run and the outcomes the clients
 observed, the oracle reconstructs every actor's post-recovery state with
 the *production* recovery routine
-(:func:`repro.core.engine.recovery.recover_state`) and checks the
+(:func:`repro.core.engine.recovery.recover_state_ex`) and checks the
 guarantees the paper claims survive failures (§4.2.5, §4.3.4):
 
 C1  committed-durable    every transaction the client saw commit left
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.chaos.workload import INITIAL_BALANCE, ChaosOutcome
-from repro.core.engine.recovery import recover_state, recover_state_ex
+from repro.core.engine.recovery import recover_state_ex
 from repro.errors import AbortReason
 from repro.persistence.records import SnapshotRecord
 
@@ -100,12 +100,12 @@ def recovered_states(
     using the production recovery routine."""
     states: Dict[Any, Dict[str, Any]] = {}
     for actor_id in actor_ids:
-        states[actor_id] = recover_state(
+        states[actor_id] = recover_state_ex(
             actor_id,
             loggers,
             {"balance": INITIAL_BALANCE, "applied": {}},
             _raise_on_delta,
-        )
+        ).state
     return states
 
 

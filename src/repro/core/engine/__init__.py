@@ -57,7 +57,6 @@ from repro.core.engine.pact import PactExecutor
 from repro.core.engine.recovery import (
     RecoveryResult,
     RecoveryWarning,
-    recover_state,
     recover_state_ex,
 )
 from repro.core.engine.sanitizer import AccessSanitizer, AccessViolation
@@ -79,7 +78,6 @@ __all__ = [
     "TwoPhaseLockingELR",
     "WaitDie",
     "RecoveryWarning",
-    "recover_state",
     "recover_state_ex",
     "RecoveryResult",
     "register_strategy",

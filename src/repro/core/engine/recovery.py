@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import copy
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Set
 
 from repro.persistence.records import (
@@ -76,27 +76,16 @@ class RecoveryResult:
     value a later snapshot of this state must carry.  ``replayed`` is
     the number of covered state records applied past the snapshot seed;
     with a fresh snapshot it is the bounded-recovery guarantee made
-    countable.
+    countable.  ``tail`` is the actor's in-doubt tail, in LSN order: its
+    state records newer than the recovery point whose commit decisions
+    are not in the WAL (see :func:`resolve_in_doubt_tail`).
     """
 
     state: Any
     frontier_lsn: int = -1
     replayed: int = 0
     snapshot: Optional[SnapshotRecord] = None
-
-
-def recover_state(
-    actor_id: Any,
-    loggers: Any,
-    state: Any,
-    apply_delta: Callable[[Any, List[Any]], Any],
-) -> Any:
-    """Return ``state`` advanced to the last committed WAL image.
-
-    ``state`` is the actor's initial state; it is returned unchanged
-    when logging is disabled or no covered record exists.
-    """
-    return recover_state_ex(actor_id, loggers, state, apply_delta).state
+    tail: List[Any] = field(default_factory=list)
 
 
 def recover_state_ex(
@@ -107,46 +96,79 @@ def recover_state_ex(
     *,
     use_snapshots: bool = True,
 ) -> RecoveryResult:
-    """:func:`recover_state`, plus the frontier/replay accounting the
-    snapshot subsystem needs.  ``use_snapshots=False`` forces the
-    replay-from-zero path (the chaos oracle's C8 baseline)."""
+    """Recover the actor from one scan of the WAL.
+
+    Returns ``state`` (the actor's initial state) advanced to the last
+    committed WAL image — unchanged when logging is disabled or no
+    covered record exists — together with the frontier/replay
+    accounting the snapshot subsystem needs and the in-doubt tail.
+    ``use_snapshots=False`` forces the replay-from-zero path (the chaos
+    oracle's C8 baseline); it does not change the tail.
+
+    The tail is the sub-batches the actor voted ``complete`` for and the
+    ACTs it prepared whose coordinators had not (durably) decided when
+    the log was scanned — the 2PC in-doubt window.  With a durable
+    snapshot in the log, only post-frontier LSNs count: an uncovered
+    record at or below any snapshot's frontier predates a commit the
+    actor later durably took, so its transaction is decided (it could
+    only have aborted) — it is garbage, not doubt.
+    """
     if not loggers.enabled:
         return RecoveryResult(state)
     committed_bids: Set[int] = set()
+    aborted_bids: Set[int] = set()
     committed_tids: Set[int] = set()
     state_records: List[Any] = []
     snapshot: Optional[SnapshotRecord] = None
+    tail_floor = -1  # newest frontier over *every* snapshot of the actor
     for record in loggers.all_records():
         if isinstance(record, BatchCommitRecord):
             committed_bids.add(record.bid)
+        elif isinstance(record, BatchAbortRecord):
+            aborted_bids.add(record.bid)
         elif isinstance(record, (ActCommitRecord, CoordCommitRecord)):
             committed_tids.add(record.tid)
-        elif isinstance(record, BatchCompleteRecord):
-            if record.actor == actor_id and record.state is not None:
-                state_records.append(record)
-        elif isinstance(record, ActPrepareRecord):
+        elif isinstance(record, (BatchCompleteRecord, ActPrepareRecord)):
             if record.actor == actor_id and record.state is not None:
                 state_records.append(record)
         elif isinstance(record, SnapshotRecord):
-            if use_snapshots and record.actor == actor_id:
-                if snapshot is None or record.lsn > snapshot.lsn:
+            if record.actor == actor_id:
+                tail_floor = max(tail_floor, record.frontier_lsn)
+                if use_snapshots and (
+                    snapshot is None or record.lsn > snapshot.lsn
+                ):
                     snapshot = record
-    floor = snapshot.frontier_lsn if snapshot is not None else -1
-    covered = sorted(
-        (
-            r for r in state_records
-            if r.lsn > floor
-            and ((isinstance(r, BatchCompleteRecord)
-                  and r.bid in committed_bids)
-                 or (isinstance(r, ActPrepareRecord)
-                     and r.tid in committed_tids))
-        ),
-        key=lambda r: r.lsn,
+
+    def is_covered(record: Any) -> bool:
+        if isinstance(record, BatchCompleteRecord):
+            return record.bid in committed_bids
+        return record.tid in committed_tids
+
+    def decided_abort(record: Any) -> bool:
+        # a vote whose batch has a durable cascade-abort decision is
+        # not doubt, it is garbage (a commit record for the same bid
+        # would have made it covered — commit wins).
+        return (
+            isinstance(record, BatchCompleteRecord)
+            and record.bid in aborted_bids
+        )
+
+    state_records.sort(key=lambda r: r.lsn)
+    all_covered = [r for r in state_records if is_covered(r)]
+    recovery_point = max(
+        all_covered[-1].lsn if all_covered else -1, tail_floor
     )
+    tail = [
+        r for r in state_records
+        if r.lsn > recovery_point
+        and not is_covered(r) and not decided_abort(r)
+    ]
+    floor = snapshot.frontier_lsn if snapshot is not None else -1
+    covered = [r for r in all_covered if r.lsn > floor]
     if snapshot is not None:
         state = copy.deepcopy(snapshot.state)
     if not covered:
-        return RecoveryResult(state, floor, 0, snapshot)
+        return RecoveryResult(state, floor, 0, snapshot, tail)
     # start from the latest full-state record (if any), then replay
     # the delta records logged after it (incremental logging, §5.4.2);
     # a snapshot seed is itself a full base for an all-delta tail.
@@ -181,68 +203,21 @@ def recover_state_ex(
     for record in covered[base_index + 1:]:
         delta = copy.deepcopy(record.state[1])
         state = apply_delta(state, delta)
-    return RecoveryResult(state, covered[-1].lsn, len(covered), snapshot)
+    return RecoveryResult(
+        state, covered[-1].lsn, len(covered), snapshot, tail
+    )
 
 
 def in_doubt_tail(actor_id: Any, loggers: Any) -> List[Any]:
-    """This actor's state records newer than its recovery point whose
-    commit decisions are not in the WAL, in LSN order.
+    """Only the in-doubt tail of :func:`recover_state_ex`.
 
-    These are the sub-batches the actor voted ``complete`` for and the
-    ACTs it prepared whose coordinators had not (durably) decided when
-    the log was scanned — the 2PC in-doubt window.  With a durable
-    snapshot in the log, only post-frontier LSNs are walked: an
-    uncovered record at or below the frontier predates a commit the
-    actor later durably took, so its transaction is decided (it could
-    only have aborted) — it is garbage, not doubt.
+    Activation never calls this (its one scan already returns the
+    tail); the name stays because ``perfbench/layers.py`` wraps
+    ``repro.core.transactional_actor.in_doubt_tail`` by name.
     """
-    if not loggers.enabled:
-        return []
-    committed_bids: Set[int] = set()
-    aborted_bids: Set[int] = set()
-    committed_tids: Set[int] = set()
-    state_records: List[Any] = []
-    floor = -1
-    for record in loggers.all_records():
-        if isinstance(record, BatchCommitRecord):
-            committed_bids.add(record.bid)
-        elif isinstance(record, BatchAbortRecord):
-            aborted_bids.add(record.bid)
-        elif isinstance(record, (ActCommitRecord, CoordCommitRecord)):
-            committed_tids.add(record.tid)
-        elif isinstance(record, (BatchCompleteRecord, ActPrepareRecord)):
-            if record.actor == actor_id and record.state is not None:
-                state_records.append(record)
-        elif isinstance(record, SnapshotRecord):
-            if record.actor == actor_id:
-                floor = max(floor, record.frontier_lsn)
-
-    def covered(record: Any) -> bool:
-        if isinstance(record, BatchCompleteRecord):
-            return record.bid in committed_bids
-        return record.tid in committed_tids
-
-    def decided_abort(record: Any) -> bool:
-        # a vote whose batch has a durable cascade-abort decision is
-        # not doubt, it is garbage (a commit record for the same bid
-        # would have made it covered — commit wins).
-        return (
-            isinstance(record, BatchCompleteRecord)
-            and record.bid in aborted_bids
-        )
-
-    recovery_point = max(
-        (r.lsn for r in state_records if covered(r)), default=-1
-    )
-    recovery_point = max(recovery_point, floor)
-    return sorted(
-        (
-            r for r in state_records
-            if not covered(r) and not decided_abort(r)
-            and r.lsn > recovery_point
-        ),
-        key=lambda r: r.lsn,
-    )
+    return recover_state_ex(
+        actor_id, loggers, None, lambda state, delta: state
+    ).tail
 
 
 def _adopt(state: Any, record: Any,
@@ -266,13 +241,15 @@ async def resolve_in_doubt_tail(
     state: Any,
     apply_delta: Callable[[Any, List[Any]], Any],
     timeout: float,
-    tail: Optional[List[Any]] = None,
+    tail: List[Any],
     on_adopt: Optional[Callable[[Any], None]] = None,
 ) -> Any:
     """2PC participant recovery: advance ``state`` through the actor's
     in-doubt tail as each record's commit decision resolves.
 
-    ``recover_state`` stops at the newest *covered* record, but the
+    ``tail`` is :attr:`RecoveryResult.tail` from the activation's
+    :func:`recover_state_ex` scan.  Recovery stops at the newest
+    *covered* record, but the
     records past it are not garbage — they are prepared work whose
     decision was in flight when the actor crashed.  If such a
     transaction goes on to commit while the reactivated actor serves
@@ -298,10 +275,6 @@ async def resolve_in_doubt_tail(
     ``on_adopt`` fires once per adopted record (after its state is
     folded in) so the caller can track the committed frontier.
     """
-    if tail is None:
-        # callers that already computed the tail (e.g. to report its
-        # length) pass it in; the WAL scan is a full-log walk.
-        tail = in_doubt_tail(actor_id, loggers)
     if not tail:
         return state
     from repro.runtime.kernel import sleep

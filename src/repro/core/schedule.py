@@ -103,6 +103,9 @@ class LocalSchedule:
         #: bids whose sub-batch completed (or committed) on this actor.
         self._done_bids: Set[int] = set()
         self._known_bids: Set[int] = set()
+        #: bids a cascading rollback dropped: an access still in flight
+        #: when its batch was dropped ends in a cascading abort.
+        self._rolled_back_bids: Set[int] = set()
         #: (bid, tid) -> waiters for that PACT's turn.
         self._pact_waiters: Dict[Tuple[int, int], List[Future]] = {}
         #: called synchronously when a sub-batch completes (snapshot point).
@@ -171,6 +174,12 @@ class LocalSchedule:
         """Record that one declared access of ``tid`` finished on this actor."""
         entry = self.batch_entry(bid)
         if entry is None:
+            if bid in self._rolled_back_bids:
+                raise TransactionAbortedError(
+                    f"{self.label}: batch {bid} rolled back while txn "
+                    f"{tid} was accessing the state",
+                    AbortReason.CASCADING,
+                )
             raise SimulationError(f"{self.label}: access_done for unknown batch {bid}")
         remaining = entry.remaining.get(tid, 0)
         if remaining <= 0 or entry.current_tid != tid:
@@ -269,6 +278,7 @@ class LocalSchedule:
         self._entries = [e for e in self._entries if not e.is_batch]
         self._batch_index.clear()
         self._orphans.clear()
+        self._rolled_back_bids.update(dropped)
         for bid in dropped:
             self._done_bids.discard(bid)
             self._known_bids.discard(bid)

@@ -112,6 +112,7 @@ class LoggerGroup:
 
     def __init__(
         self,
+        io_factory: Callable[..., Any],
         num_loggers: int = 4,
         io_base_latency: float = 125e-6,
         io_per_byte: float = 5e-9,
@@ -122,16 +123,15 @@ class LoggerGroup:
         cpu_per_record: float = 20e-6,
         cpu_per_byte: float = 10e-9,
         log_dir: Optional[str] = None,
-        io_factory: Optional[Callable[..., Any]] = None,
         wal_segment_bytes: Optional[int] = None,
     ):
         """``log_dir`` switches the WALs from in-memory lists to pickle
         files on disk (one per logger), so committed state survives the
         *process*, not just a simulated crash.
 
-        ``io_factory`` builds the log devices — pass the owning
-        backend's ``io_device`` so flush latency is charged on the right
-        substrate; defaults to the kernel dispatch (DES device)."""
+        ``io_factory`` builds the log devices — the owning backend's
+        ``io_device``, so flush latency is charged on the right
+        substrate."""
         if num_loggers < 1:
             raise ValueError("need at least one logger")
         #: when False, persist() is free — the paper's "CC only" mode.
@@ -147,8 +147,6 @@ class LoggerGroup:
         #: windows ("after the Nth CoordPrepareRecord hits the WAL").
         self.on_persist: Optional[Callable[[LogRecord], None]] = None
         self._next_lsn = 0
-        if io_factory is None:
-            io_factory = kernel.io_device
         self.loggers = []
         for i in range(num_loggers):
             wal = None

@@ -47,17 +47,15 @@ def as_backend(loop_or_backend: Optional[Any], seed: int = 0):
     """Coerce legacy loop handles into a backend.
 
     Accepts a :class:`RuntimeBackend` (returned as-is), a raw
-    ``SimLoop`` (wrapped in a :class:`SimBackend` — the compatibility
-    path every pre-refactor call site takes), or None (fresh seeded
-    ``SimBackend``).
+    ``SimLoop`` (its one :class:`SimBackend` adapter, the same object
+    the loop installs into the kernel while it runs), or None (fresh
+    seeded ``SimBackend``).
     """
     if loop_or_backend is None:
         return create_backend("sim", seed=seed)
     if hasattr(loop_or_backend, "create_future"):
         return loop_or_backend  # already a backend
-    from repro.runtime.sim_backend import SimBackend
-
-    return SimBackend(loop=loop_or_backend)
+    return loop_or_backend.backend
 
 
 __all__ = [

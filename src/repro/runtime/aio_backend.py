@@ -162,10 +162,17 @@ class AsyncioBackend:
     def current_silo(self) -> Optional[int]:
         return _silo_var.get()
 
+    def _ensure_future(self, aw: Any) -> Any:
+        if is_future_like(aw):
+            return aw
+        inner = getattr(aw, "future", None)
+        if is_future_like(inner):
+            # future-like wrappers (e.g. TxnHandle) expose the real future
+            return inner
+        return self.spawn(aw)
+
     def gather(self, *awaitables: Any) -> AioFuture:
-        futures = [
-            aw if is_future_like(aw) else self.spawn(aw) for aw in awaitables
-        ]
+        futures = [self._ensure_future(aw) for aw in awaitables]
         result = AioFuture(self._loop, label="gather")
         if not futures:
             result.set_result([])
@@ -330,11 +337,11 @@ class AsyncioBackend:
 
     # -- running ---------------------------------------------------------
     def _drive(self, coro: Coroutine) -> Any:
-        kernel.install(self)
+        previous = kernel.install(self)
         try:
             return self._loop.run_until_complete(coro)
         finally:
-            kernel.uninstall(self)
+            kernel.install(previous)
 
     def run(
         self,

@@ -1,17 +1,14 @@
-"""Free-function dispatch onto the installed runtime backend.
+"""Free-function dispatch onto the running runtime backend.
 
 Library code (coordinators, engine layers, workloads, sync primitives)
 has no backend handle; it calls these module-level functions, exactly
-as it used to call ``repro.sim.loop``'s free functions.  Dispatch:
-
-* while a backend is **installed** (an :class:`AsyncioBackend` installs
-  itself for the duration of ``run``/``run_until_complete``), calls go
-  to that backend;
-* otherwise they **fall back to the simulation kernel's own free
-  functions**, which resolve through ``repro.sim.loop``'s current-loop
-  global.  The fallback is what keeps the refactor bit-for-bit
-  invisible to the DES substrate: a raw ``SimLoop`` driven directly by
-  a test never needs a backend at all.
+as it used to call ``repro.sim.loop``'s free functions.  There is one
+dispatch path: every call goes to the backend in the ``_current`` slot.
+A backend fills the slot for the duration of a run and restores it
+afterwards — :class:`AsyncioBackend` around ``run``/``run_until_complete``,
+and every ``SimLoop.run`` (raw or through :class:`SimBackend`) with the
+loop's one :class:`SimBackend` adapter.  A kernel call made outside any
+run raises :class:`~repro.errors.SimulationError`.
 
 Components that must create futures or timers *outside* any run (e.g.
 ``SnapperSystem.start`` injecting the token before the first ``run``)
@@ -25,90 +22,79 @@ import asyncio as _asyncio
 from typing import TYPE_CHECKING, Any, Callable, Coroutine, Optional
 
 from repro.errors import CancelledError as _SimCancelled
+from repro.errors import SimulationError
 
 #: exception types meaning "this task was cancelled" on either backend.
 CancelledErrors = (_SimCancelled, _asyncio.CancelledError)
 
-_current: Optional[Any] = None
+
+def _outside_run(name: str) -> SimulationError:
+    return SimulationError(
+        f"kernel call {name!r} outside any run: no runtime backend is "
+        "running (call it from inside backend.run/run_until_complete, "
+        "or on a backend handle)"
+    )
 
 
-def install(backend: Any) -> None:
-    """Make ``backend`` the dispatch target (one at a time, like a loop)."""
+class _NoBackend:
+    """The empty slot: every kernel call made outside a run lands here."""
+
+    def __getattr__(self, name: str) -> Any:
+        raise _outside_run(name)
+
+
+_NO_BACKEND = _NoBackend()
+_current: Any = _NO_BACKEND
+
+
+def install(backend: Any) -> Any:
+    """Make ``backend`` the dispatch target; return the target it
+    replaces, which the caller restores with ``install(previous)`` when
+    its run ends."""
     global _current
-    _current = backend
-
-
-def uninstall(backend: Any) -> None:
-    global _current
-    if _current is backend:
-        _current = None
+    previous, _current = _current, backend
+    return previous
 
 
 def current_backend() -> Optional[Any]:
-    """The installed backend, or None when running on the sim fallback."""
-    return _current
+    """The running backend, or None outside any run."""
+    return None if _current is _NO_BACKEND else _current
 
 
 def current_loop() -> Any:
-    """The installed backend, or the running ``SimLoop``.
+    """The running backend.
 
-    Both expose the loop-ish surface library code touches: ``now``,
+    Exposes the loop-ish surface library code touches: ``now``,
     ``sleep``, ``call_later``, ``create_task``, ``rng``.
     """
-    if _current is not None:
-        return _current
-    from repro.sim.loop import current_loop as _sim_current_loop
-
-    return _sim_current_loop()
+    if _current is _NO_BACKEND:
+        raise _outside_run("current_loop")
+    return _current
 
 
 def now() -> float:
-    if _current is not None:
-        return _current.now
-    from repro.sim.loop import now as _sim_now
-
-    return _sim_now()
+    return _current.now
 
 
 def sleep(delay: float) -> Any:
-    if _current is not None:
-        return _current.sleep(delay)
-    from repro.sim.loop import sleep as _sim_sleep
-
-    return _sim_sleep(delay)
+    return _current.sleep(delay)
 
 
 def spawn(coro: Coroutine, label: str = "") -> Any:
-    if _current is not None:
-        return _current.spawn(coro, label=label)
-    from repro.sim.loop import spawn as _sim_spawn
-
-    return _sim_spawn(coro, label=label)
+    return _current.spawn(coro, label=label)
 
 
 def gather(*awaitables: Any) -> Any:
-    if _current is not None:
-        return _current.gather(*awaitables)
-    from repro.sim.loop import gather as _sim_gather
-
-    return _sim_gather(*awaitables)
+    return _current.gather(*awaitables)
 
 
 def wait_for(awaitable: Any, timeout: float, message: str = "timeout"):
-    if _current is not None:
-        return _current.wait_for(awaitable, timeout, message=message)
-    from repro.sim.loop import wait_for as _sim_wait_for
-
-    return _sim_wait_for(awaitable, timeout, message=message)
+    return _current.wait_for(awaitable, timeout, message=message)
 
 
 def _future_factory(label: str = "") -> Any:
     """Create a backend-appropriate future."""
-    if _current is not None:
-        return _current.create_future(label)
-    from repro.sim.future import Future as _SimFuture
-
-    return _SimFuture(label=label)
+    return _current.create_future(label)
 
 
 if TYPE_CHECKING:
@@ -125,29 +111,15 @@ create_future = _future_factory
 
 
 def call_later(delay: float, callback: Callable, *args: Any) -> None:
-    if _current is not None:
-        _current.call_later(delay, callback, *args)
-        return
-    from repro.sim.loop import current_loop as _sim_current_loop
-
-    _sim_current_loop().call_later(delay, callback, *args)
+    _current.call_later(delay, callback, *args)
 
 
 def call_clamped(when: float, callback: Callable, *args: Any) -> None:
-    if _current is not None:
-        _current.call_clamped(when, callback, *args)
-        return
-    from repro.sim.loop import current_loop as _sim_current_loop
-
-    _sim_current_loop().call_clamped(when, callback, *args)
+    _current.call_clamped(when, callback, *args)
 
 
 def cpu_pool(cores: int, label: str = "cpu") -> Any:
-    if _current is not None:
-        return _current.cpu_pool(cores, label=label)
-    from repro.sim.resources import CpuPool as _SimCpuPool
-
-    return _SimCpuPool(cores, label=label)
+    return _current.cpu_pool(cores, label=label)
 
 
 def io_device(
@@ -156,12 +128,6 @@ def io_device(
     label: str = "disk",
     bandwidth_cap: Optional[float] = None,
 ) -> Any:
-    if _current is not None:
-        return _current.io_device(
-            base_latency, per_byte, label=label, bandwidth_cap=bandwidth_cap
-        )
-    from repro.sim.resources import IoDevice as _SimIoDevice
-
-    return _SimIoDevice(
+    return _current.io_device(
         base_latency, per_byte, label=label, bandwidth_cap=bandwidth_cap
     )

@@ -8,10 +8,10 @@ through ``SimBackend`` is bit-for-bit identical to a run against a raw
 ``SimLoop`` — the determinism tests in
 ``tests/test_runtime_differential.py`` pin that.
 
-``SimBackend`` never installs itself into the kernel dispatch
-(:mod:`repro.runtime.kernel`): while a ``SimLoop`` runs it publishes
-itself as the sim-current loop, and the kernel's fallback path resolves
-through that global — the same code path raw-``SimLoop`` tests use.
+Each ``SimLoop`` has exactly one adapter (``loop.backend``), and every
+``SimLoop.run`` installs it into the kernel dispatch
+(:mod:`repro.runtime.kernel`) for the duration of the run — whether the
+run was started through this class or on the raw loop.
 """
 
 from __future__ import annotations
@@ -31,6 +31,12 @@ class SimBackend:
 
     def __init__(self, loop: Optional[SimLoop] = None, seed: int = 0):
         self.loop = loop if loop is not None else SimLoop(seed=seed)
+        if self.loop._backend is not None:
+            raise ValueError(
+                f"{self.loop!r} already has its SimBackend adapter; "
+                "use loop.backend"
+            )
+        self.loop._backend = self
 
     # -- clock -----------------------------------------------------------
     @property

@@ -1,9 +1,12 @@
-"""Backend-generic synchronization primitives.
+"""Synchronization primitives for every backend.
 
-Same semantics as :mod:`repro.sim.sync` — strictly FIFO, waiters
-released in arrival order — but futures and timers are created through
-the kernel dispatch (:mod:`repro.runtime.kernel`), so the one
-implementation serves both the virtual-time and the asyncio backends.
+All primitives are strictly FIFO: waiters are released in arrival order,
+which keeps the simulation deterministic and models the fair queues used
+by .NET's synchronization objects closely enough for our purposes.
+Futures and timers are created through the kernel dispatch
+(:mod:`repro.runtime.kernel`), so this one implementation serves the
+virtual-time and the asyncio backends alike (``repro.sim`` re-exports
+it).
 Construction is loop-free: a primitive can be built before any backend
 runs (``SnapperSystem.__init__`` does) because futures are only created
 at ``wait``/``acquire`` time.

@@ -17,6 +17,7 @@ Public surface:
 * Hardware models: :class:`CpuPool`, :class:`IoDevice`.
 """
 
+from repro.runtime.sync import Condition, Event, Lock, Queue, Semaphore
 from repro.sim.future import Future
 from repro.sim.loop import (
     SimLoop,
@@ -28,7 +29,6 @@ from repro.sim.loop import (
     wait_for,
 )
 from repro.sim.resources import CpuPool, IoDevice
-from repro.sim.sync import Condition, Event, Lock, Queue, Semaphore
 from repro.sim.task import Task
 
 __all__ = [

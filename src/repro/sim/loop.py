@@ -5,7 +5,11 @@ monotonically increasing ``seq`` makes same-timestamp ordering — and thus
 the whole simulation — deterministic.  A module-level *current loop* makes
 ``sleep``/``spawn``/``now`` available to library code without threading a
 loop handle through every call, mirroring how ``asyncio`` exposes its
-running loop.
+running loop.  While a loop runs it also fills the runtime kernel's
+dispatch slot (:mod:`repro.runtime.kernel`) with its one
+:class:`~repro.runtime.sim_backend.SimBackend` adapter, so engine code
+reaches the DES through the same path whether a test drives the raw loop
+or a system drives it through the backend.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import random
 from typing import Any, Callable, Coroutine, List, Optional, Tuple
 
 from repro.errors import SimulationError
+from repro.runtime import kernel
 from repro.sim.future import Future
 from repro.sim.task import Task
 
@@ -138,6 +143,17 @@ class SimLoop:
         self._tasks_started = 0
         #: the task currently being stepped (None between steps).
         self.current_task = None
+        self._backend = None
+
+    @property
+    def backend(self):
+        """This loop's one :class:`~repro.runtime.sim_backend.SimBackend`
+        adapter: the kernel's dispatch target while the loop runs."""
+        if self._backend is None:
+            from repro.runtime.sim_backend import SimBackend
+
+            return SimBackend(self)  # registers itself as the adapter
+        return self._backend
 
     # -- scheduling primitives -------------------------------------------
     def call_at(self, when: float, callback: Callable, *args: Any) -> None:
@@ -200,6 +216,7 @@ class SimLoop:
             raise SimulationError("loop is already running")
         self._running = True
         previous, _current = _current, self
+        outer_backend = kernel.install(self.backend)
         events = 0
         try:
             while self._heap:
@@ -224,6 +241,7 @@ class SimLoop:
         finally:
             self._running = False
             _current = previous
+            kernel.install(outer_backend)
 
     def run_until_complete(self, coro_or_future, until: Optional[float] = None):
         """Run the loop until ``coro_or_future`` resolves; return its result."""

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.runtime.sync import Semaphore
 from repro.sim.loop import current_loop
-from repro.sim.sync import Semaphore
 
 
 class CpuPool:

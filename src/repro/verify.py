@@ -20,9 +20,8 @@ workloads.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
 
 from repro.core.context import AccessMode
 
@@ -60,16 +59,42 @@ def _conflicts(mode_a: str, mode_b: str) -> bool:
     return mode_a == AccessMode.READ_WRITE or mode_b == AccessMode.READ_WRITE
 
 
+class ConflictGraph:
+    """A directed graph over tids, as an insertion-ordered adjacency dict."""
+
+    def __init__(self) -> None:
+        #: tid -> successors (a dict used as an ordered set).
+        self.succ: Dict[int, Dict[int, None]] = {}
+
+    def add_node(self, node: int) -> None:
+        self.succ.setdefault(node, {})
+
+    def add_edge(self, source: int, target: int) -> None:
+        self.add_node(target)
+        self.succ.setdefault(source, {})[target] = None
+
+    @property
+    def nodes(self) -> List[int]:
+        return list(self.succ)
+
+    @property
+    def edges(self) -> List[Tuple[int, int]]:
+        return [(a, b) for a, targets in self.succ.items() for b in targets]
+
+    def number_of_edges(self) -> int:
+        return sum(len(targets) for targets in self.succ.values())
+
+
 def build_serialization_graph(
     logs: Dict[Hashable, Sequence[Access]]
-) -> "nx.DiGraph":
+) -> ConflictGraph:
     """Build the conflict (serialization) graph of an execution.
 
     ``logs`` maps each actor to its accesses in execution order.  For
     each actor, every conflicting pair contributes an edge from the
     earlier transaction to the later one.
     """
-    graph = nx.DiGraph()
+    graph = ConflictGraph()
     for log in logs.values():
         for tid, _mode in log:
             graph.add_node(tid)
@@ -92,13 +117,34 @@ def build_serialization_graph(
     return graph
 
 
-def find_cycle(graph: "nx.DiGraph") -> Optional[List[int]]:
-    """Return one cycle as a list of tids, or None if acyclic."""
-    try:
-        edges = nx.find_cycle(graph, orientation="original")
-    except nx.NetworkXNoCycle:
-        return None
-    return [edge[0] for edge in edges]
+def find_cycle(graph: ConflictGraph) -> Optional[List[int]]:
+    """Return one cycle as a list of tids, or None if acyclic.
+
+    An iterative depth-first search: a successor still on the current
+    path closes a cycle, which is that path's suffix from the successor.
+    """
+    done: Set[int] = set()
+    for root in graph.succ:
+        if root in done:
+            continue
+        path = [root]
+        on_path = {root}
+        pending = [iter(graph.succ[root])]
+        while pending:
+            for node in pending[-1]:
+                if node in on_path:
+                    return path[path.index(node):]
+                if node not in done:
+                    path.append(node)
+                    on_path.add(node)
+                    pending.append(iter(graph.succ[node]))
+                    break
+            else:
+                pending.pop()
+                finished = path.pop()
+                on_path.discard(finished)
+                done.add(finished)
+    return None
 
 
 def is_serializable(logs: Dict[Hashable, Sequence[Access]]) -> bool:
@@ -110,12 +156,29 @@ def is_serializable(logs: Dict[Hashable, Sequence[Access]]) -> bool:
 def serialization_order(
     logs: Dict[Hashable, Sequence[Access]]
 ) -> List[int]:
-    """A witness serial order (topological sort of the conflict graph).
+    """A witness serial order (Kahn's topological sort of the conflict
+    graph).
 
-    Raises ``networkx.NetworkXUnfeasible`` when the history is not
-    serializable.
+    Raises ``ValueError`` when the history is not serializable.
     """
-    return list(nx.topological_sort(build_serialization_graph(logs)))
+    graph = build_serialization_graph(logs)
+    indegree = dict.fromkeys(graph.succ, 0)
+    for targets in graph.succ.values():
+        for target in targets:
+            indegree[target] += 1
+    ready = deque(node for node, degree in indegree.items() if degree == 0)
+    order: List[int] = []
+    while ready:
+        node = ready.popleft()
+        order.append(node)
+        for target in graph.succ[node]:
+            indegree[target] -= 1
+            if indegree[target] == 0:
+                ready.append(target)
+    if len(order) != len(indegree):
+        raise ValueError("history is not serializable: its conflict graph "
+                         "has a cycle")
+    return order
 
 
 def assert_serializable(

@@ -5,15 +5,15 @@ The paper drives SmallBank with a Zipf distribution over actor IDs
 (Fig. 11b), plus a *hotspot* distribution for the scalability runs: 1%
 of actors form a hot set and every transaction touches three of them
 (§5.4.1).  This module reproduces those families with seeded inverse-CDF
-sampling (numpy for the Zipf tables).
+sampling over a precomputed CDF table.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Dict, List
-
-import numpy as np
 
 #: the five skew levels used across §5.2.2/§5.3, mapped to zipfian
 #: constants.  Fig. 11b's exact values are not in the paper text; these
@@ -55,13 +55,14 @@ class ZipfDistribution:
         self.num_actors = num_actors
         self.s = s
         self._rng = rng
-        weights = 1.0 / np.power(np.arange(1, num_actors + 1, dtype=float), s)
-        self._cdf = np.cumsum(weights)
-        self._cdf /= self._cdf[-1]
+        cdf = list(accumulate(
+            1.0 / float(rank) ** s for rank in range(1, num_actors + 1)
+        ))
+        total = cdf[-1]
+        self._cdf = [mass / total for mass in cdf]
 
     def sample(self) -> int:
-        u = self._rng.random()
-        return int(np.searchsorted(self._cdf, u, side="left"))
+        return bisect_left(self._cdf, self._rng.random())
 
     def sample_distinct(self, count: int) -> List[int]:
         return _distinct(self.sample, count, self.num_actors)

@@ -10,6 +10,8 @@ from repro import (
     TransactionalActor,
 )
 from repro.actors.runtime import SiloConfig
+from repro.runtime import kernel
+from repro.runtime.sim_backend import SimBackend
 
 
 class AccountActor(TransactionalActor):
@@ -81,3 +83,13 @@ def build_system(seed=0, **config_kwargs):
 @pytest.fixture
 def system():
     return build_system()
+
+
+@pytest.fixture
+def sim_backend():
+    """A SimBackend in the kernel dispatch slot for the whole test, for
+    unit tests that drive engine structures outside any run."""
+    backend = SimBackend(seed=0)
+    previous = kernel.install(backend)
+    yield backend
+    kernel.install(previous)

@@ -18,15 +18,7 @@ class TransferActor:
 
 
 async def submit(system):
-    return await system.submit_pact(  # snapper: noqa SNAP015
-        "account", "alice", "transfer", None,
-        access={"alice": 1, "bob": 1},
-    )
-
-
-def build_request():
-    # the TxnRequest surface is checked the same way
-    return TxnRequest.pact(
+    return await system.submit(TxnRequest.pact(
         "account", "alice", "transfer",
         access={"alice": 1, "bob": 1},
-    )
+    ))

@@ -25,9 +25,15 @@ def lint_fixture(name):
 
 # -- the registry ------------------------------------------------------------
 
+#: rule IDs that were removed; they are never reused.
+RETIRED_RULE_IDS = ("SNAP015",)
+
+
 def test_registry_ids_are_stable_and_ordered():
+    issued = len(ALL_RULE_IDS) + len(RETIRED_RULE_IDS)
     assert ALL_RULE_IDS == tuple(
-        f"SNAP{n:03d}" for n in range(1, len(ALL_RULE_IDS) + 1)
+        rule_id for rule_id in (f"SNAP{n:03d}" for n in range(1, issued + 1))
+        if rule_id not in RETIRED_RULE_IDS
     )
     for rule_id, rule in RULES.items():
         assert rule.id == rule_id
@@ -107,7 +113,7 @@ def test_repo_sources_lint_clean():
 def test_snap014_exempts_kernel_and_seam_paths():
     source = "from repro.sim.loop import SimLoop\n"
     for exempt in (
-        "src/repro/sim/sync.py",
+        "src/repro/sim/resources.py",
         "src/repro/runtime/sim_backend.py",
     ):
         assert lint_source(source, exempt) == []
@@ -128,29 +134,6 @@ def test_snap014_flags_local_and_plain_imports():
 def test_snap014_noqa_suppression():
     source = "from repro.sim import spawn  # snapper: noqa SNAP014\n"
     assert lint_source(source, "src/repro/core/foo.py") == []
-
-
-# -- SNAP015: the deprecated submission shims --------------------------------
-
-def test_snap015_exempts_repro_internals():
-    source = (
-        "async def run(system):\n"
-        "    await system.submit_act('account', 0, 'balance')\n"
-    )
-    assert lint_source(source, "src/repro/workloads/client.py") == []
-    findings = lint_source(source, "apps/teller.py")
-    assert [f.rule_id for f in findings] == ["SNAP015"]
-    assert "TxnRequest.act" in findings[0].message
-
-
-def test_snap015_flags_both_shims_and_bare_names():
-    source = (
-        "async def run(system, submit_pact):\n"
-        "    await system.submit_pact('a', 0, 'm', None, {0: 1})\n"
-        "    await submit_pact('a', 0, 'm', None, {0: 1})\n"
-    )
-    findings = lint_source(source, "apps/teller.py")
-    assert [f.rule_id for f in findings] == ["SNAP015", "SNAP015"]
 
 
 # -- CLI ---------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from repro import AccessMode, FuncCall, TransactionAbortedError
 from repro.actors.runtime import SiloConfig
+from repro.api import TxnRequest
 from repro.baselines import (
     NonTransactionalActor,
     NTSystem,
@@ -11,6 +12,7 @@ from repro.baselines import (
     OrleansTxnConfig,
     OrleansTxnSystem,
 )
+from repro.runtime.aio_backend import AsyncioBackend
 from repro.sim import gather, spawn
 
 
@@ -126,6 +128,23 @@ def test_orleans_commit_and_state_visible():
     assert system.run(main()) == (70.0, 70.0, 130.0)
 
 
+@pytest.mark.parametrize("logging_enabled", [True, False])
+def test_orleans_commits_on_asyncio_backend(logging_enabled):
+    """The WAL devices come from the system's backend: a logged transfer
+    on asyncio must not wait on a simulated device that never runs."""
+    backend = AsyncioBackend(seed=0)
+    system = OrleansTxnSystem(
+        config=OrleansTxnConfig(logging_enabled=logging_enabled),
+        loop=backend,
+    )
+    system.register_actor("account", OrleansAccount)
+    try:
+        handle = system.submit(TxnRequest.act("account", 1, "transfer", (30.0, 2)))
+        assert system.run(handle, until=5.0) == 70.0
+    finally:
+        backend.close()
+
+
 def test_orleans_user_abort_rolls_back():
     system = orleans_system()
 
@@ -233,7 +252,7 @@ def test_orleans_costs_more_messages_than_snapper_act():
     snapper = build_system()
 
     async def snapper_main():
-        await snapper.submit_act("account", 1, "transfer", (5.0, 2))
+        await snapper.submit(TxnRequest.act("account", 1, "transfer", (5.0, 2)))
 
     snapper.run(snapper_main())
     snapper_msgs = snapper.runtime.messages_sent

@@ -10,6 +10,7 @@ swapping the strategy name actually changes end-to-end abort behavior.
 import pytest
 
 from repro import AbortReason, TransactionAbortedError
+from repro.api import TxnRequest
 from repro.baselines.orleans_txn import OrleansActExecutor, OrleansTxnActor
 from repro.core.config import SnapperConfig
 from repro.core.engine.act import ActExecutionCore, ActExecutor
@@ -105,14 +106,14 @@ def _run_contended(strategy):
 
     async def one(i):
         try:
-            await system.submit_act("account", 0, "deposit", 1.0)
+            await system.submit(TxnRequest.act("account", 0, "deposit", 1.0))
             return "committed"
         except TransactionAbortedError as exc:
             return exc.reason
 
     async def main():
         outcomes = await gather(*[spawn(one(i)) for i in range(30)])
-        balance = await system.submit_act("account", 0, "balance")
+        balance = await system.submit(TxnRequest.act("account", 0, "balance"))
         return outcomes, balance
 
     return system.run(main())
@@ -147,7 +148,7 @@ def test_engine_wires_configured_strategy_onto_lock():
     system = build_system(concurrency_control="no_wait")
 
     async def main():
-        await system.submit_act("account", 4, "deposit", 1.0)
+        await system.submit(TxnRequest.act("account", 4, "deposit", 1.0))
 
     system.run(main())
     activation = system.runtime._activations[system.actor("account", 4).id]

@@ -1,7 +1,7 @@
 """Recovery properties: crash-at-every-LSN, delta chains, in-doubt tails.
 
 The crash-at-every-LSN test is the core property: whatever prefix of the
-WAL a crash leaves behind, the production ``recover_state`` must
+WAL a crash leaves behind, the production ``recover_state_ex`` must
 reconstruct a committed-consistent deployment — atomic per transaction,
 money conserved, balances derivable from the applied markers.
 """
@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.actors.ref import ActorId
+from repro.api import TxnRequest
 from repro.chaos.workload import (
     CHAOS_ACCOUNT_KIND,
     INITIAL_BALANCE,
@@ -20,8 +21,7 @@ from repro.core.config import SnapperConfig
 from repro.core.engine.recovery import (
     DELTA_MARKER,
     RecoveryWarning,
-    in_doubt_tail,
-    recover_state,
+    recover_state_ex,
     resolve_in_doubt_tail,
 )
 from repro.core.system import SnapperSystem
@@ -74,15 +74,15 @@ def test_recover_state_is_consistent_at_every_wal_prefix():
             dest = (index + 1) % num_actors
             marker = f"m{index}"
             if index % 2 == 0:
-                await system.submit_pact(
+                await system.submit(TxnRequest.pact(
                     CHAOS_ACCOUNT_KIND, source, "chaos_transfer",
                     (marker, 2.0, (dest,)), access={source: 1, dest: 1},
-                )
+                ))
             else:
-                await system.submit_act(
+                await system.submit(TxnRequest.act(
                     CHAOS_ACCOUNT_KIND, source, "chaos_transfer",
                     (marker, 2.0, (dest,)),
-                )
+                ))
 
     system.run(drive())
     system.shutdown()
@@ -97,11 +97,11 @@ def test_recover_state_is_consistent_at_every_wal_prefix():
         commit_tids = {r.tid for r in records[:cut]
                        if isinstance(r, ActCommitRecord)}
         states = {
-            aid: recover_state(
+            aid: recover_state_ex(
                 aid, prefix,
                 {"balance": INITIAL_BALANCE, "applied": {}},
                 _raise_on_delta,
-            )
+            ).state
             for aid in actor_ids
         }
         # conservation at every cut
@@ -144,7 +144,7 @@ def test_uncovered_records_are_ignored():
         BatchCompleteRecord(bid=1, actor=aid, state=10.0),
         ActPrepareRecord(tid=2, actor=aid, state=20.0),
     ], stamp=True)
-    assert recover_state(aid, log, 0.0, _raise_on_delta) == 0.0
+    assert recover_state_ex(aid, log, 0.0, _raise_on_delta).state == 0.0
 
 
 def test_latest_covered_record_wins_by_lsn():
@@ -155,7 +155,7 @@ def test_latest_covered_record_wins_by_lsn():
         ActPrepareRecord(tid=2, actor=aid, state=20.0),
         ActCommitRecord(tid=2, actor=aid),
     ], stamp=True)
-    assert recover_state(aid, log, 0.0, _raise_on_delta) == 20.0
+    assert recover_state_ex(aid, log, 0.0, _raise_on_delta).state == 20.0
 
 
 def test_delta_records_replay_onto_covered_base():
@@ -171,7 +171,7 @@ def test_delta_records_replay_onto_covered_base():
         state.extend(delta)
         return state
 
-    assert recover_state(aid, log, [], apply_delta) == [1, 2, 3]
+    assert recover_state_ex(aid, log, [], apply_delta).state == [1, 2, 3]
 
 
 def test_covered_delta_without_base_warns():
@@ -189,7 +189,7 @@ def test_covered_delta_without_base_warns():
         return state
 
     with pytest.warns(RecoveryWarning):
-        recovered = recover_state(aid, log, [], apply_delta)
+        recovered = recover_state_ex(aid, log, [], apply_delta).state
     assert recovered == [3]  # replayed from the initial state
 
 
@@ -207,7 +207,7 @@ def test_delta_chain_from_birth_does_not_warn():
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error", RecoveryWarning)
-        assert recover_state(aid, log, [], apply_delta) == [1]
+        assert recover_state_ex(aid, log, [], apply_delta).state == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,7 @@ def test_in_doubt_tail_lists_uncovered_records_past_recovery_point():
         ActPrepareRecord(tid=3, actor=aid, state=30.0),     # in doubt
         BatchCompleteRecord(bid=4, actor=aid, state=40.0),  # in doubt
     ], stamp=True)
-    tail = in_doubt_tail(aid, log)
+    tail = recover_state_ex(aid, log, 0.0, _raise_on_delta).tail
     assert [type(r).__name__ for r in tail] == [
         "ActPrepareRecord", "BatchCompleteRecord",
     ]
@@ -236,7 +236,7 @@ def test_in_doubt_tail_empty_when_everything_is_covered():
         BatchCompleteRecord(bid=1, actor=aid, state=10.0),
         BatchCommitRecord(bid=1),
     ], stamp=True)
-    assert in_doubt_tail(aid, log) == []
+    assert recover_state_ex(aid, log, 0.0, _raise_on_delta).tail == []
 
 
 class RegistryStub:
@@ -259,11 +259,16 @@ class RegistryStub:
             raise TimeoutError(f"batch {bid} did not commit")
 
 
+def _tail(log):
+    return recover_state_ex(_aid(), log, 0.0, _raise_on_delta).tail
+
+
 def _resolve(log, registry, state=0.0, timeout=0.05):
     loop = SimLoop(seed=0)
     return loop.run_until_complete(
         resolve_in_doubt_tail(
-            _aid(), log, registry, state, _raise_on_delta, timeout=timeout
+            _aid(), log, registry, state, _raise_on_delta, timeout=timeout,
+            tail=_tail(log),
         )
     )
 
@@ -328,7 +333,8 @@ def test_tail_act_adopted_when_decision_lands_during_grace_period():
 
         spawn(land_decision())
         return await resolve_in_doubt_tail(
-            aid, log, RegistryStub(), 0.0, _raise_on_delta, timeout=0.05
+            aid, log, RegistryStub(), 0.0, _raise_on_delta, timeout=0.05,
+            tail=_tail(log),
         )
 
     assert loop.run_until_complete(main()) == 99.0
@@ -351,7 +357,8 @@ def test_tail_act_abort_does_not_stop_the_walk():
 
         spawn(land_decision())
         return await resolve_in_doubt_tail(
-            aid, log, RegistryStub(), 0.0, _raise_on_delta, timeout=0.05
+            aid, log, RegistryStub(), 0.0, _raise_on_delta, timeout=0.05,
+            tail=_tail(log),
         )
 
     # tid 9 never decides (presumed abort, skipped); tid 10's decision

@@ -181,15 +181,15 @@ def test_group_commit_flush_byte_budget_splits_batches():
     assert [r.bid for r in tiny.wal.scan()] == list(range(20))
 
 
-def test_logger_group_stable_assignment():
-    group = LoggerGroup(num_loggers=4)
+def test_logger_group_stable_assignment(sim_backend):
+    group = LoggerGroup(sim_backend.io_device, num_loggers=4)
     for actor in ("a", "b", "c", 1, 2, 3):
         assert group.logger_for(actor) is group.logger_for(actor)
 
 
-def test_logger_group_disabled_is_free():
+def test_logger_group_disabled_is_free(sim_backend):
     loop = SimLoop()
-    group = LoggerGroup(num_loggers=2, enabled=False)
+    group = LoggerGroup(sim_backend.io_device, num_loggers=2, enabled=False)
 
     async def main():
         await group.persist("a", BatchCommitRecord(bid=1))
@@ -199,9 +199,9 @@ def test_logger_group_disabled_is_free():
     assert group.records_persisted() == 0
 
 
-def test_logger_group_all_records_merges_logs():
+def test_logger_group_all_records_merges_logs(sim_backend):
     loop = SimLoop()
-    group = LoggerGroup(num_loggers=3)
+    group = LoggerGroup(sim_backend.io_device, num_loggers=3)
 
     async def main():
         for i in range(9):
@@ -216,4 +216,4 @@ def test_logger_group_all_records_merges_logs():
 
 def test_logger_group_requires_at_least_one():
     with pytest.raises(ValueError):
-        LoggerGroup(num_loggers=0)
+        LoggerGroup(IoDevice, num_loggers=0)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro import sim
+from repro.api import TxnRequest
 from repro.core.context import AccessMode, SubBatch, TxnExeInfo
 from repro.core.locks import ActorLock
 from repro.core.registry import CommitRegistry
@@ -16,6 +17,7 @@ from repro.sim import SimLoop
 # ---------------------------------------------------------------------------
 # schedule: any arrival order of chained batches executes in bid order
 # ---------------------------------------------------------------------------
+@pytest.mark.usefixtures("sim_backend")
 @given(st.permutations(range(6)))
 @settings(max_examples=50, deadline=None)
 def test_schedule_executes_chain_in_bid_order_any_arrival(arrival_order):
@@ -44,6 +46,7 @@ def test_schedule_executes_chain_in_bid_order_any_arrival(arrival_order):
 # ---------------------------------------------------------------------------
 # schedule: intra-batch turn order is ascending tid regardless of plan order
 # ---------------------------------------------------------------------------
+@pytest.mark.usefixtures("sim_backend")
 @given(st.lists(st.integers(0, 1000), min_size=1, max_size=8, unique=True))
 @settings(max_examples=50, deadline=None)
 def test_schedule_intra_batch_ascending_tids(tids):
@@ -211,12 +214,14 @@ def test_random_hybrid_workload_conserves_money(transfers, seed):
             return "skipped"
         try:
             if use_pact:
-                await system.submit_pact(
+                await system.submit(TxnRequest.pact(
                     "account", frm, "transfer", (1.0, to),
                     access={frm: 1, to: 1},
-                )
+                ))
             else:
-                await system.submit_act("account", frm, "transfer", (1.0, to))
+                await system.submit(TxnRequest.act(
+                    "account", frm, "transfer", (1.0, to)
+                ))
             return "committed"
         except TransactionAbortedError as exc:
             return exc.reason
@@ -226,7 +231,9 @@ def test_random_hybrid_workload_conserves_money(transfers, seed):
             *[spawn(one(f, t, p)) for f, t, p in transfers]
         )
         balances = [
-            await system.submit_act("account", k, "balance") for k in range(5)
+            await system.submit(TxnRequest.act(
+                "account", k, "balance"
+            )) for k in range(5)
         ]
         return outcomes, balances
 

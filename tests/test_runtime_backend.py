@@ -1,6 +1,6 @@
 """Unit tests for the runtime-backend seam (repro.runtime).
 
-Covers backend construction/coercion, the kernel dispatch fallback,
+Covers backend construction/coercion, the kernel's single dispatch path,
 AioFuture's sim-future semantics, the duplex-stream transport, and the
 engine end-to-end on the asyncio substrate (single- and multi-silo).
 """
@@ -9,13 +9,13 @@ import asyncio
 
 import pytest
 
+from repro.api import TxnRequest
 from repro.core.config import SnapperConfig
 from repro.core.system import SnapperSystem
 from repro.actors.runtime import SiloConfig
 from repro.errors import CancelledError, SimulationError
 from repro.runtime import BACKENDS, as_backend, create_backend
 from repro.runtime import kernel
-from repro.runtime.aio import AioFuture
 from repro.runtime.aio_backend import AsyncioBackend
 from repro.runtime.sim_backend import SimBackend
 from repro.sim.loop import SimLoop
@@ -37,6 +37,13 @@ class TestBackendConstruction:
         wrapped = as_backend(loop)
         assert isinstance(wrapped, SimBackend)
         assert wrapped.loop is loop
+        # a loop has one adapter: the one it installs while it runs
+        assert as_backend(loop) is wrapped
+        seen = []
+        async def probe():
+            seen.append(kernel.current_backend())
+        loop.run_until_complete(probe())
+        assert seen == [wrapped]
         # a backend passes through unchanged
         assert as_backend(wrapped) is wrapped
         # None makes a fresh deterministic backend
@@ -59,27 +66,14 @@ class TestBackendConstruction:
 
 
 class TestKernelDispatch:
-    def test_fallback_uses_sim_loop(self):
-        loop = SimLoop(seed=0)
-        seen = []
-        async def main():
-            assert kernel.current_backend() is None
-            seen.append(kernel.now())
-            await kernel.sleep(0.25)
-            seen.append(kernel.now())
-        loop.run_until_complete(main())
-        assert seen == [0.0, 0.25]
-
-    def test_future_factory_matches_substrate(self):
-        from repro.sim.future import Future as SimFuture
-        assert isinstance(kernel.create_future("x"), SimFuture)
-        backend = AsyncioBackend(seed=0, transport=False)
-        kernel.install(backend)
-        try:
-            assert isinstance(kernel.create_future("x"), AioFuture)
-        finally:
-            kernel.uninstall(backend)
-            backend.close()
+    def test_kernel_call_outside_any_run_raises(self):
+        assert kernel.current_backend() is None
+        with pytest.raises(SimulationError, match="outside any run"):
+            kernel.create_future("x")
+        with pytest.raises(SimulationError, match="outside any run"):
+            kernel.now()
+        with pytest.raises(SimulationError, match="outside any run"):
+            kernel.current_loop()
 
     def test_install_is_scoped_to_run(self):
         backend = AsyncioBackend(seed=0, transport=False)
@@ -184,20 +178,20 @@ class TestTransport:
         system.start()
 
         async def burst():
-            from repro.runtime.kernel import gather, spawn
+            from repro.runtime.kernel import gather
             subs = [
-                system.submit_pact(
+                system.submit(TxnRequest.pact(
                     "account", i, "multi_transfer",
                     (1.0, [(i + 1) % 8, (i + 2) % 8]),
                     access={i: 1, (i + 1) % 8: 1, (i + 2) % 8: 1},
-                )
+                ))
                 for i in range(8)
             ]
-            await gather(*[spawn(sub) for sub in subs])
+            await gather(*subs)
             reads = [
-                system.submit_act("account", i, "balance") for i in range(8)
+                system.submit(TxnRequest.act("account", i, "balance")) for i in range(8)
             ]
-            return await gather(*[spawn(read) for read in reads])
+            return await gather(*reads)
 
         balances = system.run(burst())
         assert sum(balances) == pytest.approx(8 * 20_000.0)

@@ -4,7 +4,10 @@ import pytest
 
 from repro.core.context import SubBatch
 from repro.core.schedule import LocalSchedule
-from repro.errors import TransactionAbortedError
+from repro.errors import AbortReason, SimulationError, TransactionAbortedError
+
+# the schedule creates its turn futures through the kernel dispatch
+pytestmark = pytest.mark.usefixtures("sim_backend")
 
 
 def sub_batch(bid, prev_bid, plans, coordinator_key=0):
@@ -156,6 +159,20 @@ def test_rollback_drops_batches_and_fails_waiters():
     # ACT entries survive the rollback
     assert len(schedule.act_entries) == 1
     assert len(schedule.batch_entries) == 0
+
+
+def test_access_done_after_rollback_is_a_cascading_abort():
+    schedule = LocalSchedule()
+    schedule.register_batch(sub_batch(1, None, [(1, 1)]))
+    assert schedule.await_pact_turn(1, 1).done()
+    schedule.rollback_batches()
+    # the access was in flight when its batch was dropped
+    with pytest.raises(TransactionAbortedError) as info:
+        schedule.pact_access_done(1, 1)
+    assert info.value.reason == AbortReason.CASCADING
+    # a bid the schedule never saw is still a protocol error
+    with pytest.raises(SimulationError):
+        schedule.pact_access_done(7, 7)
 
 
 def test_batch_committed_removes_entry_and_unblocks_acts():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import TransactionAbortedError
+from repro.api import TxnRequest
 from repro.trace import TraceEvent, TxnTrace, TxnTracer
 
 from tests.conftest import build_system
@@ -120,7 +121,9 @@ def test_pact_lifecycle_traced():
     system, tracer = traced_system()
 
     async def main():
-        await system.submit_pact("account", 1, "deposit", 5.0, access={1: 1})
+        await system.submit(TxnRequest.pact(
+            "account", 1, "deposit", 5.0, access={1: 1}
+        ))
 
     system.run(main())
     committed = tracer.by_outcome("committed")
@@ -139,7 +142,7 @@ def test_act_lifecycle_traced():
     system, tracer = traced_system()
 
     async def main():
-        await system.submit_act("account", 1, "transfer", (5.0, 2))
+        await system.submit(TxnRequest.act("account", 1, "transfer", (5.0, 2)))
 
     system.run(main())
     committed = tracer.by_outcome("committed")
@@ -157,8 +160,10 @@ def test_engine_emits_enriched_state_access_events():
     system, tracer = traced_system()
 
     async def main():
-        await system.submit_pact("account", 1, "deposit", 5.0, access={1: 1})
-        await system.submit_act("account", 1, "transfer", (5.0, 2))
+        await system.submit(TxnRequest.pact(
+            "account", 1, "deposit", 5.0, access={1: 1}
+        ))
+        await system.submit(TxnRequest.act("account", 1, "transfer", (5.0, 2)))
 
     system.run(main())
     accesses = [e for e in tracer.all_events() if e.name == "state_access"]
@@ -179,7 +184,7 @@ def test_aborted_act_traced_with_reason():
 
     async def main():
         with pytest.raises(TransactionAbortedError):
-            await system.submit_act("account", 1, "transfer", (1e9, 2))
+            await system.submit(TxnRequest.act("account", 1, "transfer", (1e9, 2)))
 
     system.run(main())
     aborted = tracer.by_outcome("aborted")
@@ -193,8 +198,8 @@ def test_tracing_absent_costs_nothing():
     assert "txn_tracer" not in system.runtime.services
 
     async def main():
-        return await system.submit_pact(
+        return await system.submit(TxnRequest.pact(
             "account", 1, "deposit", 5.0, access={1: 1}
-        )
+        ))
 
     assert system.run(main()) == 105.0
